@@ -6,8 +6,8 @@
 //! * every node runs one worker thread per [`shard`] (default one), each
 //!   owning the [`dlm_core::HierNode`]s of the locks hashing to it —
 //!   created lazily, so a node can host millions of mostly-idle locks,
-//! * links are a pluggable [`transport::Transport`] — perfect channels,
-//!   constant-latency routing, or seeded fault injection
+//! * links are a pluggable [`transport::Transport`] — perfect channels or
+//!   a delaying router with seeded fault injection
 //!   ([`TransportKind`]); every protocol message is round-tripped through
 //!   the compact binary [`codec`] (so the wire format is exercised, not
 //!   just in-memory moves),
@@ -31,16 +31,19 @@
 //! adversarial network that drops, duplicates, and reorders frames.
 //!
 //! Beyond the in-process cluster, the [`socket`] module puts the same
-//! worker loop on a real wire: [`Node`] runs one cluster member per
+//! member runtime on a real wire: [`Node`] runs one cluster member per
 //! process over TCP or UDP loopback/LAN sockets (the paper's actual
 //! experimental setup), with the `dlm-node` binary and harness driver in
 //! `dlm-harness` spawning and measuring multi-process clusters end to end.
+//! [`Cluster`] and [`Node`] differ only in the transport, the failure
+//! detector, and whether shutdown audits or reports per-member states.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
 mod handle;
+mod member;
 mod node;
 mod reliable;
 mod runtime;

@@ -134,6 +134,12 @@ const KIND_DATA: u8 = 1;
 const KIND_ACK: u8 = 2;
 const DATA_HEADER: usize = 1 + 8 + 8;
 
+/// Whether `frame` is a shim data frame (as opposed to a bare ack), so a
+/// lossy wire can tell which of its drops the shim must retransmit.
+pub(crate) fn is_data(frame: &[u8]) -> bool {
+    frame.first() == Some(&KIND_DATA)
+}
+
 /// Why an incoming frame was rejected by the shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkError {

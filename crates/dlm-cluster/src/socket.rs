@@ -46,8 +46,9 @@
 //! [`crate::Node`](crate::Node)): quiescence stays sound without a shared
 //! gauge.
 
+use crate::reliable;
 use crate::runtime::Input;
-use crate::transport::{LinkFaults, SocketLinkStat, Transport, TransportReport};
+use crate::transport::{LinkFaults, SocketLinkStat, SplitMix64, Transport, TransportReport};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlm_core::NodeId;
@@ -319,6 +320,8 @@ struct PeerStat {
     bytes_recv: AtomicU64,
     resets: AtomicU64,
     udp_dropped: AtomicU64,
+    /// Of `udp_dropped`, the reliability-shim data frames.
+    udp_data_dropped: AtomicU64,
 }
 
 /// A live TCP connection owned by one event-loop thread.
@@ -328,22 +331,6 @@ struct Conn {
     rbuf: WireBuf,
     wbuf: Vec<u8>,
     alive: bool,
-}
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
-    }
 }
 
 enum Wire {
@@ -467,7 +454,7 @@ impl SocketTransport {
                     wire: Wire::Udp {
                         socket,
                         loss,
-                        rng: Mutex::new(SplitMix64(seed)),
+                        rng: Mutex::new(SplitMix64::new(seed)),
                     },
                     shutting_down,
                     threads: Mutex::new(Vec::new()),
@@ -776,8 +763,14 @@ impl SocketTransport {
                 }
             }
             Wire::Udp { socket, loss, rng } => {
-                if rng.lock().expect("udp rng lock").chance(*loss) {
+                let lost = || {
                     stat.udp_dropped.fetch_add(1, Ordering::Relaxed);
+                    if reliable::is_data(frame.as_ref()) {
+                        stat.udp_data_dropped.fetch_add(1, Ordering::Relaxed);
+                    }
+                };
+                if rng.lock().expect("udp rng lock").chance(*loss) {
+                    lost();
                     return;
                 }
                 let mut dgram = Vec::with_capacity(DGRAM_HEADER + frame.len());
@@ -792,9 +785,7 @@ impl SocketTransport {
                     }
                     // A refused/unreachable datagram is loss like any
                     // other; the reliability shim repairs it.
-                    Err(_) => {
-                        stat.udp_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Err(_) => lost(),
                 }
             }
         }
@@ -867,6 +858,7 @@ impl Transport for SocketTransport {
                     from: self.me as u32,
                     to: peer as u32,
                     dropped,
+                    data_dropped: stat.udp_data_dropped.load(Ordering::Relaxed),
                     duplicated: 0,
                     reordered: 0,
                 });

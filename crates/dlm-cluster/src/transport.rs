@@ -2,16 +2,17 @@
 //!
 //! The node threads never talk to each other directly: every encoded frame
 //! goes through a [`Transport`], the seam where link behavior is decided.
-//! Three implementations ship with the runtime, selected by
+//! Two in-process implementations ship with the runtime, selected by
 //! [`TransportKind`]:
 //!
 //! * [`Direct`] — frames land in the receiver's input channel immediately
 //!   (today's perfect in-process links; zero extra hops or threads),
-//! * [`Delayed`] — a router thread parks every frame in a deadline-sorted
-//!   heap for a constant per-message latency (the paper's LAN model),
-//! * [`Faulty`] — the same router, plus seeded drop / duplicate / reorder
-//!   injection at configurable rates ([`FaultConfig`]) — the adversarial
-//!   link the reliability shim in [`crate::reliable`] is built to survive.
+//! * [`Faulty`] — a router thread parks every frame in a deadline-sorted
+//!   heap for a constant per-message latency (the paper's LAN model), plus
+//!   seeded drop / duplicate / reorder injection at configurable rates
+//!   ([`FaultConfig`]) — the adversarial link the reliability shim in
+//!   [`crate::reliable`] is built to survive. With zero rates it is a
+//!   fault-free constant-latency link.
 //!
 //! Fault decisions are drawn from a seeded SplitMix64 stream, so a given
 //! seed produces a reproducible fault pattern for a given frame arrival
@@ -22,7 +23,8 @@
 //! don't belong to a lock the transport can see, so they are stamped with
 //! the sentinel lock id [`TRANSPORT_LOCK`].
 
-use crate::runtime::Input;
+use crate::reliable;
+use crate::runtime::{ClusterConfig, Input};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dlm_core::NodeId;
@@ -43,10 +45,11 @@ pub enum TransportKind {
     /// Perfect in-process channels, zero added latency.
     #[default]
     Direct,
-    /// Constant one-way per-message latency through a router thread.
-    Delayed(Duration),
-    /// Seeded drop / duplicate / reorder / delay injection. Pair with
-    /// [`crate::ReliableConfig`] unless the test *wants* lost frames.
+    /// Seeded drop / duplicate / reorder / delay injection through a
+    /// router thread. Pair with [`crate::ReliableConfig`] unless the test
+    /// *wants* lost frames; with the default (zero) rates,
+    /// `Faulty(FaultConfig { delay, ..FaultConfig::default() })` is a
+    /// constant one-way latency of `delay`.
     Faulty(FaultConfig),
 }
 
@@ -107,6 +110,9 @@ pub struct LinkFaults {
     pub to: u32,
     /// Frames dropped in flight.
     pub dropped: u64,
+    /// Of [`Self::dropped`], the reliability-shim data frames (the rest
+    /// were bare acks); 0 on a link without the shim.
+    pub data_dropped: u64,
     /// Extra copies injected.
     pub duplicated: u64,
     /// Frames held back past later traffic.
@@ -202,7 +208,7 @@ impl Transport for Direct {
     }
 }
 
-// ------------------------------------------------- Delayed / Faulty router
+// ------------------------------------------------------------ Faulty router
 
 enum RouterMsg {
     Forward {
@@ -244,9 +250,9 @@ impl Ord for Parked {
     }
 }
 
-/// The shared router chassis: a thread parking frames in a deadline heap.
-/// `Delayed` runs it fault-free; `Faulty` adds the fault stage at ingress.
-struct Router {
+/// Lossy, duplicating, reordering, delayed links (seeded): a router thread
+/// parking frames in a deadline heap, with the fault stage at ingress.
+pub struct Faulty {
     tx: Sender<RouterMsg>,
     join: Mutex<Option<JoinHandle<TransportReport>>>,
     /// Post-shutdown fallback path (and death accounting).
@@ -254,28 +260,44 @@ struct Router {
     in_flight: Arc<AtomicU64>,
 }
 
-impl Router {
-    fn spawn(
+impl Faulty {
+    pub(crate) fn new(
         outs: Vec<Sender<Input>>,
         in_flight: Arc<AtomicU64>,
-        delay: Duration,
-        faults: Option<FaultState>,
+        config: FaultConfig,
+        cluster: &ClusterConfig,
+        shards: usize,
+        epoch: Instant,
     ) -> Self {
+        let nodes = cluster.nodes;
+        let faults = FaultState {
+            rng: SplitMix64::new(config.seed),
+            config,
+            nodes,
+            shards,
+            shim: cluster.reliable.is_some(),
+            tallies: vec![LinkFaults::default(); nodes * nodes],
+            recorder: (cluster.trace_capacity > 0)
+                .then(|| RingRecorder::new(cluster.trace_capacity)),
+            epoch,
+        };
         let (tx, rx) = unbounded::<RouterMsg>();
         let louts = outs.clone();
         let lgauge = Arc::clone(&in_flight);
         let join = std::thread::Builder::new()
             .name("dlm-router".into())
-            .spawn(move || router_loop(rx, louts, lgauge, delay, faults))
+            .spawn(move || router_loop(rx, louts, lgauge, faults))
             .expect("spawn router");
-        Router {
+        Faulty {
             tx,
             join: Mutex::new(Some(join)),
             outs,
             in_flight,
         }
     }
+}
 
+impl Transport for Faulty {
     fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
         // After shutdown the router channel is disconnected; deliver
         // directly so late frames (e.g. cascades triggered by the flush)
@@ -299,65 +321,6 @@ impl Router {
     }
 }
 
-/// Constant-latency links through the deadline-heap router.
-pub struct Delayed(Router);
-
-impl Delayed {
-    pub(crate) fn new(
-        outs: Vec<Sender<Input>>,
-        in_flight: Arc<AtomicU64>,
-        delay: Duration,
-    ) -> Self {
-        Delayed(Router::spawn(outs, in_flight, delay, None))
-    }
-}
-
-impl Transport for Delayed {
-    fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
-        self.0.send(from, to, frame);
-    }
-
-    fn shutdown(&self) -> TransportReport {
-        self.0.shutdown()
-    }
-}
-
-/// Lossy, duplicating, reordering links (seeded).
-pub struct Faulty(Router);
-
-impl Faulty {
-    pub(crate) fn new(
-        outs: Vec<Sender<Input>>,
-        in_flight: Arc<AtomicU64>,
-        config: FaultConfig,
-        nodes: usize,
-        shards: usize,
-        trace_capacity: usize,
-        epoch: Instant,
-    ) -> Self {
-        let faults = FaultState {
-            rng: SplitMix64::new(config.seed),
-            config,
-            nodes,
-            shards,
-            tallies: vec![LinkFaults::default(); nodes * nodes],
-            recorder: (trace_capacity > 0).then(|| RingRecorder::new(trace_capacity)),
-            epoch,
-        };
-        Faulty(Router::spawn(outs, in_flight, config.delay, Some(faults)))
-    }
-}
-
-impl Transport for Faulty {
-    fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
-        self.0.send(from, to, frame);
-    }
-
-    fn shutdown(&self) -> TransportReport {
-        self.0.shutdown()
-    }
-}
-
 /// The fault stage the router applies at frame ingress.
 struct FaultState {
     rng: SplitMix64,
@@ -367,6 +330,9 @@ struct FaultState {
     /// (`node * shards + shard`), but faults are reported per node link, so
     /// tallies and trace events divide the slot back down.
     shards: usize,
+    /// Frames are reliability-shim frames, so drops can be told apart
+    /// into data and bare acks.
+    shim: bool,
     tallies: Vec<LinkFaults>,
     recorder: Option<RingRecorder>,
     epoch: Instant,
@@ -391,8 +357,7 @@ fn router_loop(
     rx: Receiver<RouterMsg>,
     outs: Vec<Sender<Input>>,
     in_flight: Arc<AtomicU64>,
-    delay: Duration,
-    mut faults: Option<FaultState>,
+    mut f: FaultState,
 ) -> TransportReport {
     // Deadline-sorted delivery: every frame is stamped `ingress + delay` on
     // arrival and parked in a min-heap; each wakeup drains *all* frames
@@ -403,46 +368,48 @@ fn router_loop(
     // global FIFO, which implies the per-channel FIFO the protocol assumes.
     // The fault stage breaks exactly that (reorder jitter, drops, dups) —
     // which is the point: the reliability shim has to rebuild FIFO on top.
+    // A zero rate injects nothing: `chance(0.0)` draws no number.
     let mut parked: BinaryHeap<Parked> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut ingress = |parked: &mut BinaryHeap<Parked>,
-                       faults: &mut Option<FaultState>,
+                       f: &mut FaultState,
                        from: NodeId,
                        to: NodeId,
                        frame: Bytes| {
-        let mut due = Instant::now() + delay;
-        if let Some(f) = faults {
-            if f.rng.chance(f.config.drop) {
-                f.tally(from, to).dropped += 1;
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-                let (from_node, to_node) = (f.node_of(from), f.node_of(to));
-                if let Some(ring) = &mut f.recorder {
-                    ring.record(
-                        f.epoch.elapsed().as_micros() as u64,
-                        TRANSPORT_LOCK,
-                        from_node,
-                        ProtocolEvent::FrameDropped { to: to_node },
-                    );
-                }
-                return;
+        let mut due = Instant::now() + f.config.delay;
+        if f.rng.chance(f.config.drop) {
+            let data = f.shim && reliable::is_data(frame.as_ref());
+            let tally = f.tally(from, to);
+            tally.dropped += 1;
+            tally.data_dropped += u64::from(data);
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            let (from_node, to_node) = (f.node_of(from), f.node_of(to));
+            if let Some(ring) = &mut f.recorder {
+                ring.record(
+                    f.epoch.elapsed().as_micros() as u64,
+                    TRANSPORT_LOCK,
+                    from_node,
+                    ProtocolEvent::FrameDropped { to: to_node },
+                );
             }
-            if f.rng.chance(f.config.reorder) {
-                f.tally(from, to).reordered += 1;
-                due += f.rng.jitter(f.config.jitter);
-            }
-            if f.rng.chance(f.config.duplicate) {
-                f.tally(from, to).duplicated += 1;
-                in_flight.fetch_add(1, Ordering::Relaxed);
-                let copy_due = due + f.rng.jitter(f.config.jitter);
-                parked.push(Parked {
-                    due: copy_due,
-                    seq,
-                    from,
-                    to,
-                    frame: frame.clone(),
-                });
-                seq += 1;
-            }
+            return;
+        }
+        if f.rng.chance(f.config.reorder) {
+            f.tally(from, to).reordered += 1;
+            due += f.rng.jitter(f.config.jitter);
+        }
+        if f.rng.chance(f.config.duplicate) {
+            f.tally(from, to).duplicated += 1;
+            in_flight.fetch_add(1, Ordering::Relaxed);
+            let copy_due = due + f.rng.jitter(f.config.jitter);
+            parked.push(Parked {
+                due: copy_due,
+                seq,
+                from,
+                to,
+                frame: frame.clone(),
+            });
+            seq += 1;
         }
         parked.push(Parked {
             due,
@@ -452,21 +419,6 @@ fn router_loop(
             frame,
         });
         seq += 1;
-    };
-    let report = |faults: Option<FaultState>| {
-        let mut report = TransportReport::default();
-        if let Some(f) = faults {
-            report.faults = f
-                .tallies
-                .into_iter()
-                .filter(|t| t.dropped + t.duplicated + t.reordered > 0)
-                .collect();
-            if let Some(ring) = f.recorder {
-                report.trace_dropped = ring.dropped();
-                report.trace = ring.into_records();
-            }
-        }
-        report
     };
     loop {
         // Deliver everything due.
@@ -488,7 +440,7 @@ fn router_loop(
         };
         match msg {
             Some(RouterMsg::Forward { from, to, frame }) => {
-                ingress(&mut parked, &mut faults, from, to, frame);
+                ingress(&mut parked, &mut f, from, to, frame);
             }
             // Shutdown (or all senders gone): flush whatever is still
             // parked without honoring deadlines — the cluster is going
@@ -498,7 +450,19 @@ fn router_loop(
                 while let Some(d) = parked.pop() {
                     deliver(&outs, &in_flight, d.from, d.to, d.frame);
                 }
-                return report(faults);
+                let mut report = TransportReport {
+                    faults: f
+                        .tallies
+                        .into_iter()
+                        .filter(|t| t.dropped + t.duplicated + t.reordered > 0)
+                        .collect(),
+                    ..TransportReport::default()
+                };
+                if let Some(ring) = f.recorder {
+                    report.trace_dropped = ring.dropped();
+                    report.trace = ring.into_records();
+                }
+                return report;
             }
         }
     }
@@ -507,11 +471,12 @@ fn router_loop(
 // ------------------------------------------------------------------- PRNG
 
 /// SplitMix64: tiny, seedable, dependency-free. Good enough for fault
-/// injection; not for cryptography.
-struct SplitMix64(u64);
+/// injection (here and at the UDP socket's loss stage); not for
+/// cryptography.
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
@@ -528,8 +493,8 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// True with probability `p`.
-    fn chance(&mut self, p: f64) -> bool {
+    /// True with probability `p`; `p <= 0` draws no number.
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
 

@@ -1,7 +1,7 @@
 //! Integration tests for the threaded cluster runtime: the protocol under
 //! true parallelism, with wire-codec round-trips on every message.
 
-use dlm_cluster::{Cluster, ClusterConfig, ClusterError, LockId, Mode, TransportKind};
+use dlm_cluster::{Cluster, ClusterConfig, ClusterError, FaultConfig, LockId, Mode, TransportKind};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -241,7 +241,10 @@ fn concurrent_delayed_messages_share_the_wire() {
     let c = Cluster::new(ClusterConfig {
         nodes: REQUESTERS as usize + 1,
         locks: REQUESTERS as usize + 1, // table + one entry per requester
-        transport: TransportKind::Delayed(Duration::from_millis(DELAY_MS)),
+        transport: TransportKind::Faulty(FaultConfig {
+            delay: Duration::from_millis(DELAY_MS),
+            ..FaultConfig::default()
+        }),
         ..Default::default()
     });
     // Each requester grabs its own entry lock: disjoint queues, so every
@@ -326,7 +329,10 @@ fn active_cluster_still_quiesces_fully() {
     let c = Cluster::new(ClusterConfig {
         nodes: 4,
         locks: 1,
-        transport: TransportKind::Delayed(Duration::from_millis(5)),
+        transport: TransportKind::Faulty(FaultConfig {
+            delay: Duration::from_millis(5),
+            ..FaultConfig::default()
+        }),
         ..Default::default()
     });
     let threads: Vec<_> = (0..4)
@@ -356,7 +362,10 @@ fn router_delay_variant_works() {
     let c = Cluster::new(ClusterConfig {
         nodes: 3,
         locks: 1,
-        transport: TransportKind::Delayed(Duration::from_micros(300)),
+        transport: TransportKind::Faulty(FaultConfig {
+            delay: Duration::from_micros(300),
+            ..FaultConfig::default()
+        }),
         ..Default::default()
     });
     let threads: Vec<_> = (0..3)

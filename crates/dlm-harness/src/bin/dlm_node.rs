@@ -19,6 +19,7 @@
 //! | `run <entries> <cs_us> <idle_us> <ops> <seed> <scale> <hot>` | `done <ops> <acquires>` |
 //! | `churn <ops>` | `done <ops> <acquires>` |
 //! | `idle?` | `idle <messages>` or `busy <messages>` |
+//! | `metrics` | the live metrics snapshot (Prometheus text), then `end` |
 //! | `acquire <lock> <ir\|iw\|r\|u\|w>` | `ok` (blocks until granted) |
 //! | `release <lock>` | `ok` |
 //! | `scan` | `locks <lock>:<has_token>:<epoch> …` |
@@ -173,6 +174,10 @@ fn main() {
             Some("idle?") => {
                 let state = if node.is_idle() { "idle" } else { "busy" };
                 say(&mut out, &format!("{state} {}", node.messages_sent()));
+            }
+            Some("metrics") => {
+                // The snapshot ends in a newline, so `end` gets its own line.
+                say(&mut out, &format!("{}end", node.metrics_snapshot()));
             }
             Some("acquire") => {
                 let lock: u32 = words

@@ -271,6 +271,23 @@ fn drive(mut cluster: Cluster, command: &str, protocol: ProtocolConfig) -> RunSt
         std::thread::sleep(Duration::from_millis(5));
     }
 
+    // Live scrape: every member answers `metrics` with its own series.
+    for me in 0..n {
+        cluster.send(me, "metrics");
+        let series = format!("dlm_acquires_total{{node=\"{me}\"}} ");
+        let mut labelled = false;
+        loop {
+            let line = cluster.recv(me);
+            if line == "end" {
+                break;
+            }
+            labelled |= line.starts_with(&series);
+        }
+        if !labelled {
+            cluster.fail(&format!("member {me}: metrics snapshot lacks {series:?}"));
+        }
+    }
+
     // Shutdown: collect every member's latency histogram, final states,
     // and link counters, then reassemble the cross-process audit.
     let mut stats = RunStats {

@@ -15,11 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
+echo "==> tier-1: cargo test -q (default-members = the whole workspace)"
 cargo test -q
-
-echo "==> workspace tests: cargo test -q --workspace"
-cargo test -q --workspace
 
 echo "==> chaos smoke: seeded lossy-link schedules (DLM_CHAOS_CASES=${DLM_CHAOS_CASES:-4})"
 DLM_CHAOS_CASES="${DLM_CHAOS_CASES:-4}" cargo test -q -p dlm-cluster --test chaos
