@@ -5,7 +5,8 @@
 //!
 //! * every node runs one worker thread per [`shard`] (default one), each
 //!   owning the [`dlm_core::HierNode`]s of the locks hashing to it —
-//!   created lazily, so a node can host millions of mostly-idle locks,
+//!   resident only while not in their initial state, so a node can host
+//!   millions of mostly-idle locks,
 //! * links are a pluggable [`transport::Transport`] — perfect channels or
 //!   a delaying router with seeded fault injection
 //!   ([`TransportKind`]); every protocol message is round-tripped through

@@ -64,6 +64,9 @@ pub(crate) struct Shared {
     /// Per-worker heartbeat stamps (µs since `epoch`), refreshed by every
     /// worker loop iteration, one cache line each.
     pub(crate) beats: Vec<Padded<AtomicU64>>,
+    /// Per-worker count of resident (non-initial) lock states, stored by
+    /// the worker at every batch boundary, one cache line each.
+    pub(crate) resident: Vec<Padded<AtomicU64>>,
 }
 
 /// A value alone on its cache line (128 bytes covers the adjacent-line
@@ -95,8 +98,8 @@ pub(crate) struct Member {
 /// audit, with the final states per hosted node instead.
 pub(crate) struct MemberReport {
     pub(crate) messages_sent: u64,
-    /// Final per-lock states, one entry per hosted node (only locks its
-    /// workers touched, unsorted).
+    /// Final per-lock states, one entry per hosted node (only locks not in
+    /// their initial state, unsorted).
     pub(crate) states: Vec<Vec<(u32, HierNode)>>,
     pub(crate) trace: Vec<TraceRecord>,
     pub(crate) trace_dropped: u64,
@@ -147,6 +150,7 @@ impl Member {
                 .map(|_| Arc::new(ShardGate::new(config.shard_queue)))
                 .collect(),
             beats: (0..slots).map(|_| Padded::default()).collect(),
+            resident: (0..slots).map(|_| Padded::default()).collect(),
         });
         let joins = outputs
             .into_iter()
@@ -370,7 +374,8 @@ impl Member {
         }
 
         // Per-shard series: queue depth and rejections from the admission
-        // gates, completed operations from the worker metrics.
+        // gates, completed operations from the worker metrics, resident
+        // locks from the workers' gauges.
         for (name, help, kind) in [
             (
                 "dlm_shard_queue_depth",
@@ -387,6 +392,11 @@ impl Member {
                 "Operations completed per shard worker.",
                 "counter",
             ),
+            (
+                "dlm_shard_locks_resident",
+                "Lock states held per shard worker (locks not in their initial state).",
+                "gauge",
+            ),
         ] {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
@@ -395,6 +405,9 @@ impl Member {
                 let v = match name {
                     "dlm_shard_queue_depth" => gate.depth(),
                     "dlm_shard_rejections_total" => gate.rejections(),
+                    "dlm_shard_locks_resident" => {
+                        self.shared.resident[slot].load(Ordering::Relaxed)
+                    }
                     _ => row.0 + row.1 + row.2,
                 };
                 let _ = writeln!(out, "{name}{{node=\"{node}\",shard=\"{shard}\"}} {v}");

@@ -30,7 +30,7 @@
 
 use crate::member::Member;
 use crate::reliable::TransportClass;
-use crate::runtime::{ClusterConfig, Input, LinkReport};
+use crate::runtime::{initial_state, ClusterConfig, Input, LinkReport};
 use crate::socket::{SocketConfig, SocketTransport};
 use crate::transport::Transport;
 use crate::NodeHandle;
@@ -62,8 +62,8 @@ pub struct NodeConfig {
 pub struct NodeReport {
     /// Protocol messages this member transmitted.
     pub messages_sent: u64,
-    /// This member's final per-lock protocol states (only locks it ever
-    /// touched).
+    /// This member's final per-lock protocol states (only locks not in
+    /// their initial state).
     pub states: Vec<(u32, HierNode)>,
     /// Frames that arrived but could not be decoded — payload-level
     /// failures counted by the workers plus wire-level reassembly failures
@@ -208,7 +208,8 @@ impl Node {
         let _ = self.member.stop();
     }
 
-    /// Report `(lock, has_token, epoch)` for every lock this member hosts;
+    /// Report `(lock, has_token, epoch)` for every lock this member holds
+    /// resident (not in its initial state);
     /// `(self.id(), self.scan_locks())` is one input row for
     /// [`crate::plan_recovery`]. Only meaningful on a quiescent member.
     pub fn scan_locks(&self) -> Vec<(u32, bool, u32)> {
@@ -259,7 +260,7 @@ impl Node {
 ///
 /// `states[n]` is member `n`'s [`NodeReport::states`] (decoded with
 /// [`HierNode::decode_state`](dlm_core::HierNode::decode_state) when they
-/// crossed a process boundary). Locks a member never touched contribute a
+/// crossed a process boundary). Locks a member does not report contribute a
 /// synthesized initial state, exactly as
 /// [`Cluster::shutdown`](crate::Cluster::shutdown) does; the audit runs
 /// with `quiescent = true`, so the cluster must have been globally
@@ -284,7 +285,7 @@ pub fn audit_surviving_states(
     crashed: &[u32],
 ) -> Vec<AuditError> {
     let nodes = states.len();
-    let touched: BTreeSet<u32> = states
+    let reported: BTreeSet<u32> = states
         .iter()
         .flat_map(|s| s.iter().map(|(lock, _)| *lock))
         .collect();
@@ -292,24 +293,17 @@ pub fn audit_surviving_states(
         .iter()
         .map(|s| s.iter().map(|(lock, node)| (*lock, node)).collect())
         .collect();
-    let fresh = |node: usize| {
-        if node == 0 {
-            HierNode::with_token(NodeId(0), protocol)
-        } else {
-            HierNode::new(NodeId(node as u32), NodeId(0), protocol)
-        }
-    };
-    // Audit every lock any node ever touched; an untouched lock holds its
-    // initial (token-at-node-0) state on every node by construction.
+    // Audit every lock any node reports; a lock nobody reports is in its
+    // initial (token-at-node-0) state on every node.
     let mut errors = Vec::new();
-    for lock in touched {
+    for lock in reported {
         let members: Vec<HierNode> = (0..nodes)
             .filter(|n| !crashed.contains(&(*n as u32)))
             .map(|n| {
                 by_node[n]
                     .get(&lock)
                     .map(|s| (*s).clone())
-                    .unwrap_or_else(|| fresh(n))
+                    .unwrap_or_else(|| initial_state(NodeId(n as u32), protocol))
             })
             .collect();
         errors.extend(audit(&members, &[], true));

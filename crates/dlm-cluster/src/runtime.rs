@@ -16,12 +16,13 @@
 //! (`node * shards + shard`), not nodes; fault tallies and trace events are
 //! folded back to node granularity.
 //!
-//! Each worker owns its shard's protocol instances (created lazily on first
-//! touch, so a node can host millions of mostly-idle locks), its own
-//! [`EffectBuf`] and codec scratch, its own reliability endpoint, and a
-//! bounded application-ingress gate ([`crate::shard::ShardGate`]) that sheds
-//! new load with [`ClusterError::Overloaded`] instead of queueing without
-//! bound.
+//! Each worker owns its shard's protocol instances (created on first touch
+//! and evicted once a step leaves one exactly as created, so a node can
+//! host millions of locks and pay only for those not in their initial
+//! state), its own [`EffectBuf`] and codec scratch, its own reliability
+//! endpoint, and a bounded application-ingress gate
+//! ([`crate::shard::ShardGate`]) that sheds new load with
+//! [`ClusterError::Overloaded`] instead of queueing without bound.
 //!
 //! # Coalescing
 //!
@@ -47,6 +48,7 @@ use dlm_metrics::Histogram;
 use dlm_trace::{
     NullObserver, Observer, ProtocolEvent, Recorder, RingRecorder, Stamp, TraceRecord,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,8 +70,9 @@ const HEARTBEAT: Duration = Duration::from_millis(25);
 pub struct ClusterConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Number of lock objects hosted (ids `0..locks`). Protocol state is
-    /// created lazily on first touch, so this may be in the millions.
+    /// Number of lock objects hosted (ids `0..locks`). A worker keeps
+    /// protocol state only for locks not in their initial state, so this
+    /// may be in the millions.
     pub locks: usize,
     /// Protocol feature toggles.
     pub protocol: ProtocolConfig,
@@ -155,9 +158,10 @@ pub(crate) enum Input {
     /// from) `dead`, whose silence would otherwise hold the unacked gauge —
     /// and with it quiescence — hostage forever.
     Isolate { dead: NodeId },
-    /// Report `(lock, has_token, epoch)` for every lock this worker hosts,
-    /// tagged with the worker's node id. The recovery coordinator scans
-    /// survivors with this before planning a repair wave.
+    /// Report `(lock, has_token, epoch)` for every lock this worker holds
+    /// resident (not in its initial state), tagged with the worker's node
+    /// id. The recovery coordinator scans survivors with this before
+    /// planning a repair wave.
     Scan(Sender<ScanReport>),
     /// Recovery wave (DESIGN.md §17): repair every planned lock owned by
     /// this worker around the crashed node. Plans are
@@ -234,8 +238,8 @@ pub struct ClusterReport {
     /// link-layer frames and not counted here; see [`Self::links`]).
     pub messages_sent: u64,
     /// Per-lock audit findings on the final states (with the cluster
-    /// quiesced, these should all be empty). Locks never touched by any
-    /// node hold their initial state by construction and are skipped.
+    /// quiesced, these should all be empty). Locks that no node holds
+    /// resident are in their initial state everywhere and are skipped.
     pub audit_errors: Vec<AuditError>,
     /// Merged structured event trace (wall-clock µs since cluster start;
     /// empty when [`ClusterConfig::trace_capacity`] is 0). Ordered by
@@ -419,13 +423,15 @@ impl Cluster {
     ///    [`Self::crash_node`] already isolated the dead link ends, so
     ///    this converges.)
     /// 2. *Scan* — every surviving worker reports `(lock, has_token,
-    ///    epoch)` for the locks it hosts.
+    ///    epoch)` for the locks it holds resident (not in their initial
+    ///    state).
     /// 3. *Plan* — per affected lock: the next epoch is one past the
     ///    highest epoch seen, and the new root is the surviving token
     ///    holder at that epoch if any, else the lowest-numbered survivor
     ///    (which will regenerate the token, Rule R2). If node 0 died,
-    ///    every lock is affected: untouched locks' initial tokens lived
-    ///    there implicitly.
+    ///    every lock is affected: unreported locks' initial tokens lived
+    ///    there. If another node died, an unreported lock is initial on
+    ///    every node and is not repaired.
     /// 4. *Repair* — broadcast the wave ([`Input::PeerDown`]) and wait for
     ///    it to settle.
     ///
@@ -559,8 +565,8 @@ pub(crate) struct CoalesceStat {
 
 /// What a worker thread hands back at shutdown.
 pub(crate) struct NodeExit {
-    /// This shard's protocol instances, keyed by lock id (only locks the
-    /// worker ever touched; empty if the worker crashed).
+    /// This shard's protocol instances, keyed by lock id (only locks not in
+    /// their initial state; empty if the worker crashed).
     pub(crate) locks: FastMap<u32, HierNode>,
     pub(crate) trace: Vec<TraceRecord>,
     pub(crate) trace_dropped: u64,
@@ -571,9 +577,10 @@ pub(crate) struct NodeExit {
 }
 
 /// One survivor's recovery scan report: its node id plus a `(lock,
-/// has_token, epoch)` row for every lock its workers host. Produced by
-/// [`Input::Scan`] in-process and by [`crate::Node::scan_locks`] in the
-/// multi-process path; consumed by [`plan_recovery`].
+/// has_token, epoch)` row for every lock its workers hold resident.
+/// Produced by [`Input::Scan`] in-process and by
+/// [`crate::Node::scan_locks`] in the multi-process path; consumed by
+/// [`plan_recovery`].
 pub type ScanReport = (u32, Vec<(u32, bool, u32)>);
 
 /// Turn survivor scan rows into a repair plan: one `(lock, new_root,
@@ -585,8 +592,10 @@ pub type ScanReport = (u32, Vec<(u32, bool, u32)>);
 /// past the highest epoch any survivor reported, and the new root is the
 /// surviving token holder at that epoch if there is one — otherwise the
 /// lowest-numbered survivor, which will regenerate the token (Rule R2).
-/// When node 0 died, every lock in `0..locks` is affected: locks nobody
-/// ever touched held their initial token at node 0 implicitly.
+/// When node 0 died, every lock in `0..locks` is affected: a lock no
+/// survivor holds resident had its initial token at node 0. When another
+/// node died, such a lock is in its initial state on every node, the dead
+/// one included, and needs no repair.
 ///
 /// Shared by [`Cluster::recover`], the socket-node recovery path, and the
 /// multi-process harness, so all three plan identically.
@@ -663,6 +672,9 @@ struct NodeCtx<'a> {
     /// [`ClusterReport::decode_errors`] at shutdown.
     decode_errors: u64,
     recorder: Option<RingRecorder>,
+    /// [`initial_state`] of this node, the template a lock must equal to be
+    /// evicted.
+    initial: HierNode,
     /// Application waiters keyed by `(lock, request id)`. The protocol
     /// still admits one *pending* operation per lock per node (enforced via
     /// `active`), but the key shape keeps every waiter's identity distinct
@@ -926,21 +938,40 @@ impl NodeCtx<'_> {
     }
 }
 
-/// This worker's protocol instance for `lock`, created on first touch
-/// (node 0 holds every token initially).
+/// Node `me`'s state for a lock nobody has used: node 0 holds every token
+/// initially, every other node points at it. Workers create locks in this
+/// state and evict them when they return to it, and the audits synthesize
+/// it for locks a member does not report.
+pub(crate) fn initial_state(me: NodeId, protocol: ProtocolConfig) -> HierNode {
+    if me == NodeId(0) {
+        HierNode::with_token(me, protocol)
+    } else {
+        HierNode::new(me, NodeId(0), protocol)
+    }
+}
+
+/// This worker's protocol instance for `lock`, created on first touch.
 fn lock_state<'l>(
     ctx: &NodeCtx<'_>,
     locks: &'l mut FastMap<u32, HierNode>,
     lock: LockId,
 ) -> &'l mut HierNode {
     let (me, protocol) = (ctx.me, ctx.config.protocol);
-    locks.entry(lock.0).or_insert_with(|| {
-        if me == NodeId(0) {
-            HierNode::with_token(me, protocol)
-        } else {
-            HierNode::new(me, NodeId(0), protocol)
+    locks
+        .entry(lock.0)
+        .or_insert_with(|| initial_state(me, protocol))
+}
+
+/// Evict `lock` if the step just taken left its state equal to
+/// [`initial_state`] with no operation outstanding on it (waiters are only
+/// registered under an `active` entry); the next touch recreates it bit for
+/// bit, so the worker keeps only non-initial locks resident.
+fn evict_if_initial(ctx: &NodeCtx<'_>, locks: &mut FastMap<u32, HierNode>, lock: LockId) {
+    if let Entry::Occupied(entry) = locks.entry(lock.0) {
+        if *entry.get() == ctx.initial && !ctx.active.contains_key(&lock.0) {
+            entry.remove();
         }
-    })
+    }
 }
 
 /// Process one blocking-or-pipelined acquire.
@@ -989,7 +1020,12 @@ fn do_acquire(
             );
             ctx.flush(lock, req, 0, node_epoch, put);
         }
-        Err(e) => reply.complete_into(Err(ClusterError::Acquire(e)), &mut ctx.comp_batch),
+        Err(e) => {
+            reply.complete_into(Err(ClusterError::Acquire(e)), &mut ctx.comp_batch);
+            // A refused acquire may only have created the entry; an
+            // admitted one leaves the lock held or pending.
+            evict_if_initial(ctx, locks, lock);
+        }
     }
 }
 
@@ -1034,7 +1070,10 @@ fn do_upgrade(
             );
             ctx.flush(lock, req, 0, node_epoch, put);
         }
-        Err(e) => reply.complete_into(Err(ClusterError::Upgrade(e)), &mut ctx.comp_batch),
+        Err(e) => {
+            reply.complete_into(Err(ClusterError::Upgrade(e)), &mut ctx.comp_batch);
+            evict_if_initial(ctx, locks, lock);
+        }
     }
 }
 
@@ -1059,6 +1098,7 @@ fn do_release(
         }
         Err(e) => reply.complete_into(Err(ClusterError::Release(e)), &mut ctx.comp_batch),
     }
+    evict_if_initial(ctx, locks, lock);
 }
 
 /// Decode and apply one correlated protocol frame (possibly one sub-frame
@@ -1097,6 +1137,7 @@ fn on_protocol_frame(
             }
             let node_epoch = node.epoch();
             ctx.flush(lock, req, hops, node_epoch, put);
+            evict_if_initial(ctx, locks, lock);
             true
         }
         Err(_) => false,
@@ -1224,6 +1265,7 @@ fn handle_input(
                 reply.complete(true);
             } else {
                 reply.complete(false);
+                evict_if_initial(ctx, locks, lock);
             }
             Flow::Run
         }
@@ -1312,6 +1354,7 @@ fn handle_input(
                 });
                 let node_epoch = node.epoch();
                 ctx.flush(lock, 0, 0, node_epoch, put);
+                evict_if_initial(ctx, locks, lock);
             }
             Flow::Run
         }
@@ -1331,12 +1374,12 @@ pub(crate) fn worker_loop(
 ) -> NodeExit {
     let config = shared.config;
     let shards = shared.shards as u32;
-    // This shard's protocol instances, created on first touch: a node
-    // hosting a million locks pays only for the ones it uses. The table is
-    // pre-sized to the shard's expected share so a million-lock churn run
-    // never stalls on mid-run rehashes of a multi-hundred-megabyte map.
-    let mut locks: FastMap<u32, HierNode> =
-        FastMap::with_capacity_and_hasher(config.locks / shards as usize + 1, Default::default());
+    // This shard's protocol instances, created on first touch and evicted
+    // when a step returns them to their initial state: a node hosting a
+    // million locks pays only for the ones not in their initial state. The
+    // table is not pre-sized; it grows, and rehashes, with the non-initial
+    // locks alone.
+    let mut locks: FastMap<u32, HierNode> = FastMap::default();
     let mut ctx = NodeCtx {
         me,
         shard,
@@ -1347,6 +1390,7 @@ pub(crate) fn worker_loop(
         fenced: 0,
         decode_errors: 0,
         recorder: (config.trace_capacity > 0).then(|| RingRecorder::new(config.trace_capacity)),
+        initial: initial_state(me, config.protocol),
         waiters: FastMap::default(),
         active: FastMap::default(),
         endpoint: config
@@ -1443,13 +1487,16 @@ pub(crate) fn worker_loop(
             // An empty exit: a dead node's state and link statistics are
             // gone, and the shutdown audit must not see them.
             locks = FastMap::default();
+            shared.resident[slot].store(0, Ordering::Relaxed);
             ctx.endpoint = None;
             ctx.proto_sent.clear();
             crashed_loop(&rx, ctx.gate, &shared.in_flight);
             break;
         }
-        // Batch boundary: transmit coalesced traffic, then let the
+        // Batch boundary: publish the resident-lock gauge (a plain store to
+        // this worker's own line), transmit coalesced traffic, then let the
         // reliability shim retransmit and flush acks.
+        shared.resident[slot].store(locks.len() as u64, Ordering::Relaxed);
         ctx.flush_pending(&put);
         if let Some(ep) = ctx.endpoint.as_mut() {
             let rel_events = &mut scratch.rel_events;

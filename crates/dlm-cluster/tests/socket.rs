@@ -174,6 +174,18 @@ fn tcp_member_metrics_scrape_live() {
         last = now;
         h.release(lock).unwrap();
     }
+    // Both tokens moved to member 1, so both locks stay resident there.
+    // Its worker publishes the gauge at the end of the batch that answered
+    // the last release, so wait (bounded) for it.
+    let resident = r#"dlm_shard_locks_resident{node="1",shard="0"}"#;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while scrape(&nodes[1].metrics_snapshot(), resident) != 2 {
+        assert!(
+            Instant::now() < deadline,
+            "member 1 never showed 2 resident locks"
+        );
+        std::thread::yield_now();
+    }
     let snapshot = nodes[0].metrics_snapshot();
     assert_eq!(scrape(&snapshot, r#"dlm_acquires_total{node="0"}"#), 0);
     assert!(

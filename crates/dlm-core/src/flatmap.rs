@@ -266,6 +266,37 @@ mod tests {
     }
 
     #[test]
+    fn equality_ignores_slots_past_len_and_spill_capacity() {
+        let fresh: FlatMap<u64, 2> = FlatMap::new();
+        let mut inline: FlatMap<u64, 2> = FlatMap::new();
+        inline.insert(NodeId(4), 40);
+        inline.insert(NodeId(5), 50);
+        assert_ne!(inline, fresh);
+        inline.remove(&NodeId(4));
+        inline.remove(&NodeId(5));
+        // The inline slots still hold the removed entries' bytes.
+        assert_eq!(inline.inline[0], (NodeId(5), 50));
+        assert_eq!(inline, fresh);
+
+        let mut spilled: FlatMap<u64, 2> = FlatMap::new();
+        for k in 1..=3 {
+            spilled.insert(NodeId(k), 7);
+        }
+        assert!(spilled.spilled);
+        for k in 1..=3 {
+            spilled.remove(&NodeId(k));
+        }
+        assert!(spilled.spill.capacity() > 0);
+        assert_eq!(spilled, fresh);
+        spilled.insert(NodeId(1), 7);
+        let mut other: FlatMap<u64, 2> = FlatMap::new();
+        other.insert(NodeId(1), 7);
+        assert_eq!(spilled, other);
+        other.insert(NodeId(1), 8);
+        assert_ne!(spilled, other, "values are compared, not just keys");
+    }
+
+    #[test]
     fn debug_formats_like_a_map() {
         let mut m: FlatMap<u64, 4> = FlatMap::new();
         m.insert(NodeId(2), 5);

@@ -50,7 +50,11 @@ use std::collections::VecDeque;
 /// assert_eq!(leaf.held(), Mode::Read);
 /// assert_eq!(token.owned(), Mode::Read); // the copyset records the grant
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Equality is exact, field by field (the maps compare their live entries
+/// only): a runtime uses it to tell a lock that has returned to the state
+/// its constructor builds from one that has not.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierNode {
     /// This node's identity.
     id: NodeId,
@@ -481,5 +485,43 @@ mod tests {
         assert_eq!(n.copyset().get(&NodeId(1)), Some(&Mode::IntentRead));
         n.update_copyset(NodeId(1), Mode::NoLock);
         assert!(n.copyset().is_empty());
+    }
+
+    #[test]
+    fn local_write_round_trip_returns_to_the_initial_state() {
+        let fresh = HierNode::with_token(NodeId(0), cfg());
+        let mut n = fresh.clone();
+        n.on_acquire(Mode::Write).expect("token node admits Write");
+        assert_eq!(n.held(), Mode::Write);
+        assert_ne!(n, fresh, "a held lock is not initial");
+        n.on_release().expect("release of a held lock");
+        assert_eq!(n, fresh, "nothing of the round trip is left behind");
+    }
+
+    #[test]
+    fn granting_to_a_peer_leaves_the_initial_state_for_good() {
+        let fresh = HierNode::with_token(NodeId(0), cfg());
+        let mut token = fresh.clone();
+        let mut leaf = HierNode::new(NodeId(1), NodeId(0), cfg());
+        let effects = leaf.on_acquire(Mode::Read).unwrap();
+        let crate::Effect::Send { message, .. } = &effects[0] else {
+            panic!("expected a request send");
+        };
+        let effects = token.on_message(NodeId(1), message.clone());
+        let crate::Effect::Send { message: grant, .. } = &effects[0] else {
+            panic!("expected a grant send");
+        };
+        leaf.on_message(NodeId(0), grant.clone());
+        assert_ne!(token, fresh, "the copyset holds the reader");
+        let effects = leaf.on_release().unwrap();
+        let crate::Effect::Send {
+            message: release, ..
+        } = &effects[0]
+        else {
+            panic!("expected a release send");
+        };
+        token.on_message(NodeId(1), release.clone());
+        assert!(token.copyset().is_empty(), "the reader left the copyset");
+        assert_ne!(token, fresh, "the grant counter remembers the peer");
     }
 }

@@ -274,17 +274,22 @@ fn drive(mut cluster: Cluster, command: &str, protocol: ProtocolConfig) -> RunSt
     // Live scrape: every member answers `metrics` with its own series.
     for me in 0..n {
         cluster.send(me, "metrics");
-        let series = format!("dlm_acquires_total{{node=\"{me}\"}} ");
-        let mut labelled = false;
+        let series = [
+            format!("dlm_acquires_total{{node=\"{me}\"}} "),
+            format!("dlm_shard_locks_resident{{node=\"{me}\",shard=\"0\"}} "),
+        ];
+        let mut seen = [false; 2];
         loop {
             let line = cluster.recv(me);
             if line == "end" {
                 break;
             }
-            labelled |= line.starts_with(&series);
+            for (s, seen) in series.iter().zip(&mut seen) {
+                *seen |= line.starts_with(s);
+            }
         }
-        if !labelled {
-            cluster.fail(&format!("member {me}: metrics snapshot lacks {series:?}"));
+        if let Some((s, _)) = series.iter().zip(seen).find(|(_, seen)| !seen) {
+            cluster.fail(&format!("member {me}: metrics snapshot lacks {s:?}"));
         }
     }
 

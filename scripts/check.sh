@@ -41,4 +41,14 @@ cargo run --release -q -p dlm-harness --bin dlm-harness -- --smoke
 echo "==> crash-recovery smoke: SIGKILL the token holder of 3 dlm-node processes, audit the recovery (seed ${DLM_CRASH_SEED:-7})"
 cargo run --release -q -p dlm-harness --bin dlm-harness -- --crash-smoke "${DLM_CRASH_SEED:-7}"
 
+echo "==> benchmark smoke: perfbench builds and a 2 s local-churn run reports correct"
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+bench_out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload local-churn --seed 1 --seconds 2 --trace 0)
+if ! grep -q '"correct":true' <<<"$bench_out"; then
+  echo "$bench_out"
+  echo "perfbench local-churn did not report \"correct\":true" >&2
+  exit 1
+fi
+
 echo "All checks passed."
